@@ -69,10 +69,12 @@ func BenchmarkCompileAdder32L4(b *testing.B) {
 func BenchmarkCompileMuraliQFT24(b *testing.B) {
 	c := QFT(24)
 	topo := GridDevice(2, 3, 17)
+	eng := NewEngine(EngineOptions{CacheSize: -1})
+	req := CompileRequest{Circuit: c, Topo: topo, Compiler: MuraliCompilerName}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CompileMurali(c, topo); err != nil {
-			b.Fatal(err)
+		if r := eng.Do(context.Background(), req); r.Err != nil {
+			b.Fatal(r.Err)
 		}
 	}
 }
@@ -118,15 +120,15 @@ func BenchmarkAblation(b *testing.B) { benchExperiment(b, "ablation") }
 // serial vs workers-N ns/op for the pool speedup, and cached for the
 // steady-state service path.
 func BenchmarkBatchCompile(b *testing.B) {
-	var jobs []engine.Job
+	var reqs []CompileRequest
 	for _, bench := range []string{"QFT_12", "Adder_4", "BV_12"} {
 		c, err := Benchmark(bench)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, topo := range []*Topology{StarDevice(4, 8), GridDevice(2, 2, 8)} {
-			for _, comp := range []CompilerID{MuraliCompiler, DaiCompiler, SSyncCompiler} {
-				jobs = append(jobs, engine.Job{Circuit: c, Topo: topo, Compiler: comp})
+			for _, comp := range []string{MuraliCompilerName, DaiCompilerName, SSyncCompilerName} {
+				reqs = append(reqs, CompileRequest{Circuit: c, Topo: topo, Compiler: comp})
 			}
 		}
 	}
@@ -135,8 +137,8 @@ func BenchmarkBatchCompile(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		eng := engine.New(engine.Options{CacheSize: -1})
 		for i := 0; i < b.N; i++ {
-			for _, j := range jobs {
-				if r := eng.Compile(ctx, j); r.Err != nil {
+			for _, req := range reqs {
+				if r := eng.Do(ctx, req); r.Err != nil {
 					b.Fatal(r.Err)
 				}
 			}
@@ -146,7 +148,7 @@ func BenchmarkBatchCompile(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			pool := engine.Pool{Engine: engine.New(engine.Options{CacheSize: -1}), Workers: workers}
 			for i := 0; i < b.N; i++ {
-				if err := engine.FirstError(pool.Run(ctx, jobs)); err != nil {
+				if err := engine.FirstError(pool.RunRequests(ctx, reqs)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -154,12 +156,12 @@ func BenchmarkBatchCompile(b *testing.B) {
 	}
 	b.Run("cached", func(b *testing.B) {
 		pool := engine.Pool{Engine: engine.New(engine.Options{}), Workers: 4}
-		if err := engine.FirstError(pool.Run(ctx, jobs)); err != nil {
+		if err := engine.FirstError(pool.RunRequests(ctx, reqs)); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := engine.FirstError(pool.Run(ctx, jobs)); err != nil {
+			if err := engine.FirstError(pool.RunRequests(ctx, reqs)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -25,7 +25,6 @@ import (
 // authRoutes is the set of paths the auth layer guards. All are
 // POST-only handlers; everything else passes unauthenticated.
 var authRoutes = map[string]bool{
-	"/v1/compile": true, "/v1/batch": true,
 	"/v2/compile": true, "/v2/batch": true,
 }
 

@@ -40,13 +40,11 @@
 //	POST /v2/compile   {"benchmark":"QFT_24","topology":"G-2x3","priority":"interactive","deadline_ms":2000}
 //	POST /v2/batch     {"requests":[{...},{...}]}
 //	GET  /v2/compilers
+//	GET  /v2/passes
 //	GET  /v2/stats
 //	GET  /v2/traces    (flight recorder: ?route=&principal=&min_ms=&limit=)
 //	GET  /v2/traces/{id}  (one request's span tree; stitched fleet-wide in router mode)
 //	GET  /metrics      (Prometheus text exposition)
-//	POST /v1/compile   (frozen schema; thin adapter over /v2)
-//	POST /v1/batch
-//	GET  /v1/stats
 //
 // On SIGINT/SIGTERM the listener closes immediately and in-flight
 // compilations get -drain to finish before the process exits.

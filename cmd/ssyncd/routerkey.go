@@ -1,7 +1,7 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
 	"net/http"
 
 	"ssync/internal/cluster"
@@ -17,25 +17,14 @@ import (
 // body hash instead: affinity still holds for repeated identical
 // payloads, it just stops being schema-aware.
 func routerRequestKey(method, path string, body []byte) (cluster.Key, bool) {
-	if method != http.MethodPost {
+	// Batches hash as one body: their entries fan out on whichever
+	// replica receives them, and splitting a batch across shards would
+	// trade its single response envelope for router-side re-assembly.
+	if method != http.MethodPost || path != "/v2/compile" {
 		return cluster.Key{}, false
 	}
 	var wire compileRequestV2
-	switch path {
-	case "/v2/compile":
-		if json.Unmarshal(body, &wire) != nil {
-			return cluster.Key{}, false
-		}
-	case "/v1/compile":
-		var v1 compileRequest
-		if json.Unmarshal(body, &v1) != nil {
-			return cluster.Key{}, false
-		}
-		wire = v1.v2()
-	default:
-		// Batches hash as one body: their entries fan out on whichever
-		// replica receives them, and splitting a batch across shards would
-		// trade its single response envelope for router-side re-assembly.
+	if decodeStrict(bytes.NewReader(body), &wire) != nil {
 		return cluster.Key{}, false
 	}
 	if wire.Portfolio {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -25,89 +26,6 @@ import (
 // maxRequestBytes bounds a request body (QASM programs are text; 8 MiB is
 // far beyond any Table 2 benchmark).
 const maxRequestBytes = 8 << 20
-
-// compileRequest describes one compilation over the /v1 wire. Exactly one
-// of Benchmark and QASM selects the circuit. /v1 is a frozen schema kept
-// as a thin adapter over the /v2 implementation: it accepts only the
-// closed ssync/murali/dai compiler set and never exposes v2-only response
-// fields.
-type compileRequest struct {
-	// Label is echoed back unchanged; useful for correlating batch entries.
-	Label string `json:"label,omitempty"`
-	// Benchmark names a Table 2 workload, e.g. "QFT_24".
-	Benchmark string `json:"benchmark,omitempty"`
-	// QASM is an inline OpenQASM 2.0 program.
-	QASM string `json:"qasm,omitempty"`
-	// Topology names a device ("L-6", "G-2x3", "S-4", ...).
-	Topology string `json:"topology"`
-	// Capacity is the per-trap slot count; 0 selects the paper's choice.
-	Capacity int `json:"capacity,omitempty"`
-	// Compiler is "ssync" (default), "murali" or "dai".
-	Compiler string `json:"compiler,omitempty"`
-	// Mapping overrides the S-SYNC initial-mapping strategy
-	// ("gathering", "even-divided", "sta").
-	Mapping string `json:"mapping,omitempty"`
-	// Portfolio races the default S-SYNC portfolio and returns the best
-	// entrant. Single-compile only; rejected inside /v1/batch.
-	Portfolio bool `json:"portfolio,omitempty"`
-	// TimeoutMs bounds this job's compile time; 0 uses the server default.
-	TimeoutMs int `json:"timeout_ms,omitempty"`
-}
-
-// v2 lifts the v1 request into the open /v2 schema. The compiler set is
-// validated by the caller first — v1 rejects names outside its closed
-// enum before delegating.
-func (r compileRequest) v2() compileRequestV2 {
-	return compileRequestV2{
-		Label: r.Label, Benchmark: r.Benchmark, QASM: r.QASM,
-		Topology: r.Topology, Capacity: r.Capacity,
-		Compiler: r.Compiler, Mapping: r.Mapping,
-		Portfolio: r.Portfolio, TimeoutMs: r.TimeoutMs,
-	}
-}
-
-// compileResponse is one /v1 compilation outcome (and the embedded core
-// of the /v2 response).
-type compileResponse struct {
-	Label         string  `json:"label,omitempty"`
-	Compiler      string  `json:"compiler,omitempty"`
-	Winner        string  `json:"winner,omitempty"` // portfolio entrant that won
-	Topology      string  `json:"topology,omitempty"`
-	Qubits        int     `json:"qubits,omitempty"`
-	TwoQubitGates int     `json:"two_qubit_gates,omitempty"`
-	Shuttles      int     `json:"shuttles"`
-	Swaps         int     `json:"swaps"`
-	SuccessRate   float64 `json:"success_rate"`
-	ExecTimeUs    float64 `json:"exec_time_us"`
-	CompileMs     float64 `json:"compile_ms"`
-	CacheHit      bool    `json:"cache_hit"`
-	Key           string  `json:"key,omitempty"`
-	Error         string  `json:"error,omitempty"`
-}
-
-type batchRequest struct {
-	Jobs []compileRequest `json:"jobs"`
-}
-
-type batchResponse struct {
-	Results []compileResponse `json:"results"`
-	// Errors counts entries that failed; the per-entry Error fields say why.
-	Errors int `json:"errors"`
-}
-
-type statsResponse struct {
-	UptimeSeconds  float64 `json:"uptime_seconds"`
-	Requests       uint64  `json:"requests"`
-	JobsCompiled   uint64  `json:"jobs_compiled"`
-	JobErrors      uint64  `json:"job_errors"`
-	CacheHits      uint64  `json:"cache_hits"`
-	CacheMisses    uint64  `json:"cache_misses"`
-	CacheEvictions uint64  `json:"cache_evictions"`
-	CacheEntries   int     `json:"cache_entries"`
-	CacheCapacity  int     `json:"cache_capacity"`
-	CacheHitRate   float64 `json:"cache_hit_rate"`
-	Workers        int     `json:"workers"`
-}
 
 // server is the ssyncd HTTP API over one shared engine. Compile
 // concurrency is bounded by the engine itself (engine.Options.Workers):
@@ -214,9 +132,6 @@ func (s *server) routes() http.Handler {
 		return h
 	}
 	mux := http.NewServeMux()
-	mux.Handle("/v1/compile", guard(s.handleCompile))
-	mux.Handle("/v1/batch", guard(s.handleBatch))
-	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.Handle("/v2/compile", guard(s.handleCompileV2))
 	mux.Handle("/v2/batch", guard(s.handleBatchV2))
 	mux.HandleFunc("/v2/compilers", s.handleCompilersV2)
@@ -226,114 +141,6 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /v2/traces/{id}", s.handleTraceGet)
 	mux.Handle("/metrics", s.reg)
 	return s.instrument(mux)
-}
-
-// handleCompile serves POST /v1/compile as a thin adapter: it enforces
-// the frozen v1 compiler enum, lifts the request into the v2 schema, and
-// strips the response back to v1 fields.
-func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var req compileRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		return
-	}
-	if err := validateV1Compiler(req.Compiler); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	resp, status, err := s.compileOne(r.Context(), req.v2())
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	if req.Portfolio {
-		// The frozen v1 schema predates the open registry: its portfolio
-		// responses always reported "ssync" even though entrants differ,
-		// and clients may parse the field as the closed enum. The winning
-		// entrant is still named in the winner field.
-		resp.Compiler = string(engine.SSync)
-	}
-	writeJSON(w, http.StatusOK, resp.compileResponse)
-}
-
-// validateV1Compiler enforces the closed /v1 compiler set; /v2 accepts
-// any registered name instead.
-func validateV1Compiler(name string) error {
-	switch name {
-	case "", engine.CompilerSSync, engine.CompilerMurali, engine.CompilerDai:
-		return nil
-	}
-	return fmt.Errorf("unknown compiler %q (want ssync, murali or dai)", name)
-}
-
-// handleBatch serves POST /v1/batch as a thin adapter over the v2 batch
-// core, with the frozen v1 compiler enum applied per entry.
-func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var req batchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		return
-	}
-	entries := make([]compileRequestV2, len(req.Jobs))
-	invalid := make([]string, len(req.Jobs))
-	for i, cr := range req.Jobs {
-		entries[i] = cr.v2()
-		if err := validateV1Compiler(cr.Compiler); err != nil {
-			invalid[i] = err.Error()
-		}
-	}
-	results, status, err := s.compileBatch(r.Context(), entries, invalid)
-	if err != nil {
-		httpError(w, status, err.Error())
-		return
-	}
-	resp := batchResponse{Results: make([]compileResponse, len(results))}
-	for i, r2 := range results {
-		resp.Results[i] = r2.compileResponse
-		if r2.Error != "" {
-			resp.Errors++
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	writeJSON(w, http.StatusOK, s.statsV1())
-}
-
-func (s *server) statsV1() statsResponse {
-	return s.statsV1From(s.eng.Stats())
-}
-
-// statsV1From renders the v1 counters from an already-taken engine
-// snapshot. The /v2 handler takes one snapshot and renders both the v1
-// core and the v2 extensions from it, so the two halves of a /v2/stats
-// body can never disagree (the torn read a second Stats() call between
-// them would allow).
-func (s *server) statsV1From(st engine.Stats) statsResponse {
-	return statsResponse{
-		UptimeSeconds:  time.Since(s.start).Seconds(),
-		Requests:       s.requests.Load(),
-		JobsCompiled:   st.Compiled,
-		JobErrors:      st.Errors,
-		CacheHits:      st.Cache.Hits,
-		CacheMisses:    st.Cache.Misses,
-		CacheEvictions: st.Cache.Evictions,
-		CacheEntries:   st.Cache.Entries,
-		CacheCapacity:  st.Cache.Capacity,
-		CacheHitRate:   st.Cache.HitRate(),
-		Workers:        s.workers,
-	}
 }
 
 // jobTimeout resolves the per-request compile bound: the request override
@@ -478,23 +285,21 @@ func (s *server) render(req engine.Request, res engine.Response) compileResponse
 // compilation.
 func renderWithMetrics(req engine.Request, res engine.Response, m sim.Metrics) compileResponseV2 {
 	out := compileResponseV2{
-		compileResponse: compileResponse{
-			Label:         res.Label,
-			Compiler:      res.Compiler,
-			Topology:      req.Topo.Name,
-			Qubits:        req.Circuit.NumQubits,
-			TwoQubitGates: req.Circuit.TwoQubitCount(),
-			Shuttles:      res.Result.Counts.Shuttles,
-			Swaps:         res.Result.Counts.Swaps,
-			SuccessRate:   m.SuccessRate,
-			ExecTimeUs:    m.ExecutionTime,
-			CompileMs:     float64(res.Result.CompileTime) / float64(time.Millisecond),
-			CacheHit:      res.CacheHit,
-			Key:           res.Key.String(),
-		},
-		CacheTier: res.CacheTier,
-		Coalesced: res.Coalesced,
-		Pipeline:  res.Pipeline,
+		Label:         res.Label,
+		Compiler:      res.Compiler,
+		Topology:      req.Topo.Name,
+		Qubits:        req.Circuit.NumQubits,
+		TwoQubitGates: req.Circuit.TwoQubitCount(),
+		Shuttles:      res.Result.Counts.Shuttles,
+		Swaps:         res.Result.Counts.Swaps,
+		SuccessRate:   m.SuccessRate,
+		ExecTimeUs:    m.ExecutionTime,
+		CompileMs:     float64(res.Result.CompileTime) / float64(time.Millisecond),
+		CacheHit:      res.CacheHit,
+		Key:           res.Key.String(),
+		CacheTier:     res.CacheTier,
+		Coalesced:     res.Coalesced,
+		Pipeline:      res.Pipeline,
 	}
 	for _, pt := range res.PassTimings {
 		out.Passes = append(out.Passes, passTimingV2{
@@ -508,9 +313,9 @@ func renderWithMetrics(req engine.Request, res engine.Response, m sim.Metrics) c
 
 // compileErrorStatus maps a compile failure to its HTTP status. The
 // admission scheduler's structured load-shedding errors come first —
-// they must never degrade to a generic failure code, on /v2 or through
-// the frozen /v1 adapter: 429 for a full priority-class queue (back
-// off and retry), 503 for a deadline the queue-wait estimate already
+// they must never degrade to a generic failure code, on /v2/compile or
+// in a /v2/batch entry's error_status: 429 for a full priority-class
+// queue (back off and retry), 503 for a deadline the queue-wait estimate already
 // overruns (retry with a later deadline, or when load drains). Both
 // carry a Retry-After hint the error writer turns into the header.
 // Then 504 for timeouts (retryable with a higher timeout_ms), and 422
@@ -559,10 +364,28 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	httpError(w, status, err.Error())
 }
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+// decodeStrict decodes exactly one JSON document from rd into dst:
+// unknown fields and anything but whitespace after the document are
+// errors. The replica's decodeJSON and the cluster router's
+// routerRequestKey both decode through it, so the two agree on which
+// bodies are valid (and the router never places by a request the replica
+// would reject).
+func decodeStrict(rd io.Reader, dst any) error {
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
+		return err
+	}
+	if dec.Decode(new(json.RawMessage)) != io.EOF {
+		return errors.New("unexpected data after the JSON document")
+	}
+	return nil
+}
+
+// decodeJSON decodes a size-bounded request body with decodeStrict,
+// writing the 400 (or 413) itself on failure.
+func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxRequestBytes), dst); err != nil {
 		status := http.StatusBadRequest
 		if errors.As(err, new(*http.MaxBytesError)) {
 			status = http.StatusRequestEntityTooLarge

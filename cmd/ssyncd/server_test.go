@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,9 +42,9 @@ func postJSON(t *testing.T, url string, body any, out any) *http.Response {
 
 func TestCompileEndpoint(t *testing.T) {
 	ts := testServer(t)
-	var got compileResponse
-	resp := postJSON(t, ts.URL+"/v1/compile",
-		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8}, &got)
+	var got compileResponseV2
+	resp := postJSON(t, ts.URL+"/v2/compile",
+		compileRequestV2{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8}, &got)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -61,13 +62,13 @@ func TestCompileEndpoint(t *testing.T) {
 	}
 
 	// The identical request must come back from the cache.
-	var again compileResponse
-	postJSON(t, ts.URL+"/v1/compile",
-		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8}, &again)
+	var again compileResponseV2
+	postJSON(t, ts.URL+"/v2/compile",
+		compileRequestV2{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8}, &again)
 	if !again.CacheHit {
 		t.Error("repeat request missed the cache")
 	}
-	if again.Shuttles != got.Shuttles || again.Swaps != got.Swaps {
+	if again.Shuttles != got.Shuttles || again.Swaps != got.Swaps || again.Key != got.Key {
 		t.Error("cached response differs from the original")
 	}
 }
@@ -75,9 +76,9 @@ func TestCompileEndpoint(t *testing.T) {
 func TestCompileInlineQASM(t *testing.T) {
 	ts := testServer(t)
 	src := "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n"
-	var got compileResponse
-	resp := postJSON(t, ts.URL+"/v1/compile",
-		compileRequest{QASM: src, Topology: "L-2", Capacity: 4, Compiler: "murali"}, &got)
+	var got compileResponseV2
+	resp := postJSON(t, ts.URL+"/v2/compile",
+		compileRequestV2{QASM: src, Topology: "L-2", Capacity: 4, Compiler: "murali"}, &got)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -88,7 +89,7 @@ func TestCompileInlineQASM(t *testing.T) {
 
 func TestCompileRejectsBadRequests(t *testing.T) {
 	ts := testServer(t)
-	cases := []compileRequest{
+	cases := []compileRequestV2{
 		{Topology: "G-2x2"}, // no circuit
 		{Benchmark: "QFT_12", QASM: "x", Topology: "G-2x2"},          // both
 		{Benchmark: "QFT_12"},                                        // no topology
@@ -97,7 +98,7 @@ func TestCompileRejectsBadRequests(t *testing.T) {
 		{Benchmark: "QFT_12", Topology: "G-2x2", Mapping: "bogus"},   // unknown mapping
 	}
 	for i, req := range cases {
-		resp := postJSON(t, ts.URL+"/v1/compile", req, nil)
+		resp := postJSON(t, ts.URL+"/v2/compile", req, nil)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("case %d: status %d, want 400 (request validation)", i, resp.StatusCode)
 		}
@@ -105,7 +106,7 @@ func TestCompileRejectsBadRequests(t *testing.T) {
 
 	// Hostile topology parameters must come back as 400s, not reach the
 	// panicking device constructors (negative capacity / dimensions).
-	hostile := []compileRequest{
+	hostile := []compileRequestV2{
 		{Benchmark: "QFT_12", Topology: "L-6", Capacity: -1},
 		{Benchmark: "QFT_12", Topology: "G--1x2"},
 		{Benchmark: "QFT_12", Topology: "S-0", Capacity: 8},
@@ -117,26 +118,87 @@ func TestCompileRejectsBadRequests(t *testing.T) {
 		{Benchmark: "BV_12", Topology: "L-6", Capacity: 2000000000}, // DoS-scale capacity
 	}
 	for i, req := range hostile {
-		resp := postJSON(t, ts.URL+"/v1/compile", req, nil)
+		resp := postJSON(t, ts.URL+"/v2/compile", req, nil)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("hostile case %d: status %d, want 400", i, resp.StatusCode)
 		}
 	}
-	if resp := postJSON(t, ts.URL+"/v1/stats", nil, nil); resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /v1/stats: status %d, want 405", resp.StatusCode)
+	if resp := postJSON(t, ts.URL+"/v2/stats", nil, nil); resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /v2/stats: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestDecodeRejectsTrailingData pins that a request body is exactly one
+// JSON document: anything but whitespace after it is a 400. The cluster
+// router must refuse to key every body the replica rejects, so router
+// and replica agree on which bodies are valid.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	ts := testServer(t)
+	compile := `{"benchmark":"BV_4","topology":"G-2x2"}`
+	batch := `{"requests":[{"benchmark":"BV_4","topology":"G-2x2"}]}`
+	cases := []struct {
+		path, body string
+		want       int
+	}{
+		{"/v2/compile", compile, http.StatusOK},
+		{"/v2/compile", compile + " \n\t", http.StatusOK},
+		{"/v2/compile", compile + `{"benchmark":"QFT_64"}`, http.StatusBadRequest},
+		{"/v2/compile", compile + "{", http.StatusBadRequest},
+		{"/v2/compile", compile + "}", http.StatusBadRequest},
+		{"/v2/compile", compile + " null", http.StatusBadRequest},
+		{"/v2/compile", compile + "x", http.StatusBadRequest},
+		{"/v2/compile", `{"benchmark":"BV_4","topology":"G-2x2","bogus":1}`, http.StatusBadRequest},
+		{"/v2/batch", batch, http.StatusOK},
+		{"/v2/batch", batch + "\n", http.StatusOK},
+		{"/v2/batch", batch + batch, http.StatusBadRequest},
+		{"/v2/batch", batch + "]", http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("POST %s %q: status %d, want %d", tc.path, tc.body, resp.StatusCode, tc.want)
+		}
+		_, keyed := routerRequestKey(http.MethodPost, tc.path, []byte(tc.body))
+		if keyed && tc.want != http.StatusOK {
+			t.Errorf("router keyed %q, which the replica rejects", tc.body)
+		}
+	}
+}
+
+// TestV1RoutesAreGone pins the removal of the /v1 adapter: its paths
+// are unknown routes now, not aliases of /v2.
+func TestV1RoutesAreGone(t *testing.T) {
+	ts := testServer(t)
+	body := compileRequestV2{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8}
+	for _, path := range []string{"/v1/compile", "/v1/batch"} {
+		if resp := postJSON(t, ts.URL+path, body, nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404", path, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/stats: status %d, want 404", resp.StatusCode)
 	}
 }
 
 func TestBatchEndpoint(t *testing.T) {
 	ts := testServer(t)
-	req := batchRequest{Jobs: []compileRequest{
+	req := batchRequestV2{Requests: []compileRequestV2{
 		{Label: "a", Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8},
 		{Label: "b", Benchmark: "BV_12", Topology: "S-4", Capacity: 8, Compiler: "dai"},
 		{Label: "broken", Topology: "G-2x2"},
 		{Label: "c", Benchmark: "Adder_4", Topology: "S-4", Capacity: 8, Mapping: "sta"},
 	}}
-	var got batchResponse
-	resp := postJSON(t, ts.URL+"/v1/batch", req, &got)
+	var got batchResponseV2
+	resp := postJSON(t, ts.URL+"/v2/batch", req, &got)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -160,8 +222,8 @@ func TestBatchEndpoint(t *testing.T) {
 
 func TestTimeoutStatusIs504(t *testing.T) {
 	ts := testServer(t)
-	resp := postJSON(t, ts.URL+"/v1/compile",
-		compileRequest{Benchmark: "QFT_64", Topology: "G-3x3", TimeoutMs: 1}, nil)
+	resp := postJSON(t, ts.URL+"/v2/compile",
+		compileRequestV2{Benchmark: "QFT_64", Topology: "G-3x3", TimeoutMs: 1}, nil)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("timed-out compile: status %d, want 504", resp.StatusCode)
 	}
@@ -169,22 +231,25 @@ func TestTimeoutStatusIs504(t *testing.T) {
 
 func TestBatchLimits(t *testing.T) {
 	ts := testServer(t)
-	// Entry-count limit.
-	big := batchRequest{Jobs: make([]compileRequest, maxBatchJobs+1)}
-	for i := range big.Jobs {
-		big.Jobs[i] = compileRequest{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}
+	// Entry-count limit, and its lower bound.
+	big := batchRequestV2{Requests: make([]compileRequestV2, maxBatchJobs+1)}
+	for i := range big.Requests {
+		big.Requests[i] = compileRequestV2{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}
 	}
-	if resp := postJSON(t, ts.URL+"/v1/batch", big, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, ts.URL+"/v2/batch", big, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversized batch: status %d, want 400", resp.StatusCode)
 	}
+	if resp := postJSON(t, ts.URL+"/v2/batch", batchRequestV2{}, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("empty batch: status %d, want 400", resp.StatusCode)
+	}
 	// Aggregate-size budget: each entry is individually legal.
-	var heavy batchRequest
+	var heavy batchRequestV2
 	for i := 0; i < maxBatchSizeBudget/maxBenchmarkSize+1; i++ {
-		heavy.Jobs = append(heavy.Jobs, compileRequest{
+		heavy.Requests = append(heavy.Requests, compileRequestV2{
 			Benchmark: fmt.Sprintf("QFT_%d", maxBenchmarkSize), Topology: "L-6",
 		})
 	}
-	if resp := postJSON(t, ts.URL+"/v1/batch", heavy, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, ts.URL+"/v2/batch", heavy, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("over-budget batch: status %d, want 400", resp.StatusCode)
 	}
 }
@@ -193,25 +258,33 @@ func TestPortfolioStatusCodes(t *testing.T) {
 	ts := testServer(t)
 	// Well-formed but uncompilable (circuit larger than the device) must
 	// be 422, matching the non-portfolio path.
-	resp := postJSON(t, ts.URL+"/v1/compile",
-		compileRequest{Benchmark: "QFT_64", Topology: "G-2x2", Capacity: 4, Portfolio: true}, nil)
+	resp := postJSON(t, ts.URL+"/v2/compile",
+		compileRequestV2{Benchmark: "QFT_64", Topology: "G-2x2", Capacity: 4, Portfolio: true}, nil)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("infeasible portfolio: status %d, want 422", resp.StatusCode)
 	}
 	// A mapping override contradicts racing all strategies: reject loudly
 	// rather than silently ignoring it.
-	resp = postJSON(t, ts.URL+"/v1/compile",
-		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Portfolio: true, Mapping: "sta"}, nil)
+	resp = postJSON(t, ts.URL+"/v2/compile",
+		compileRequestV2{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Portfolio: true, Mapping: "sta"}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("portfolio+mapping: status %d, want 400", resp.StatusCode)
+	}
+	// A portfolio is one race, not a batch entry.
+	var batch batchResponseV2
+	postJSON(t, ts.URL+"/v2/batch", batchRequestV2{Requests: []compileRequestV2{
+		{Label: "race", Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Portfolio: true},
+	}}, &batch)
+	if len(batch.Results) != 1 || batch.Results[0].Error == "" {
+		t.Errorf("portfolio batch entry accepted: %+v", batch)
 	}
 }
 
 func TestPortfolioCompile(t *testing.T) {
 	ts := testServer(t)
-	var got compileResponse
-	resp := postJSON(t, ts.URL+"/v1/compile",
-		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Portfolio: true}, &got)
+	var got compileResponseV2
+	resp := postJSON(t, ts.URL+"/v2/compile",
+		compileRequestV2{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Portfolio: true}, &got)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -222,17 +295,17 @@ func TestPortfolioCompile(t *testing.T) {
 
 func TestStatsEndpoint(t *testing.T) {
 	ts := testServer(t)
-	postJSON(t, ts.URL+"/v1/compile",
-		compileRequest{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, nil)
-	postJSON(t, ts.URL+"/v1/compile",
-		compileRequest{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, nil)
+	postJSON(t, ts.URL+"/v2/compile",
+		compileRequestV2{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, nil)
+	postJSON(t, ts.URL+"/v2/compile",
+		compileRequestV2{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, nil)
 
-	resp, err := http.Get(ts.URL + "/v1/stats")
+	resp, err := http.Get(ts.URL + "/v2/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st statsResponse
+	var st statsResponseV2
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

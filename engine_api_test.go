@@ -6,55 +6,30 @@ import (
 )
 
 // Tests of the public concurrent-compilation surface: NewEngine,
-// CompileBatch and CompilePortfolio.
+// CompilePool and Engine.Race.
 
-func batchJobs(t testing.TB) []CompileJob {
+func batchRequests(t testing.TB) []CompileRequest {
 	t.Helper()
-	var jobs []CompileJob
+	var reqs []CompileRequest
 	for _, bench := range []string{"QFT_12", "BV_12"} {
 		c, err := Benchmark(bench)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, comp := range []CompilerID{MuraliCompiler, DaiCompiler, SSyncCompiler} {
-			jobs = append(jobs, CompileJob{
-				Label: bench + "/" + string(comp), Circuit: c,
+		for _, comp := range []string{MuraliCompilerName, DaiCompilerName, SSyncCompilerName} {
+			reqs = append(reqs, CompileRequest{
+				Label: bench + "/" + comp, Circuit: c,
 				Topo: GridDevice(2, 2, 8), Compiler: comp,
 			})
 		}
 	}
-	return jobs
-}
-
-func TestPublicCompileBatch(t *testing.T) {
-	jobs := batchJobs(t)
-	results := CompileBatch(context.Background(), jobs)
-	if len(results) != len(jobs) {
-		t.Fatalf("%d results for %d jobs", len(results), len(jobs))
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("%s: %v", jobs[i].Label, r.Err)
-		}
-		if r.Label != jobs[i].Label {
-			t.Errorf("result %d carries label %q, want %q", i, r.Label, jobs[i].Label)
-		}
-		if r.Res.Schedule == nil {
-			t.Errorf("%s: nil schedule", jobs[i].Label)
-		}
-	}
-	// The shared default engine serves a repeated batch from its cache.
-	for i, r := range CompileBatch(context.Background(), jobs) {
-		if r.Err != nil || !r.CacheHit {
-			t.Errorf("%s: repeat err=%v hit=%v, want cache hit", jobs[i].Label, r.Err, r.CacheHit)
-		}
-	}
+	return reqs
 }
 
 func TestPublicCompilePortfolio(t *testing.T) {
 	c := QFT(12)
 	topo := GridDevice(2, 2, 8)
-	out, err := CompilePortfolio(context.Background(), c, topo, nil)
+	out, err := DefaultEngine().Race(context.Background(), c, topo, nil, PortfolioOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,15 +109,15 @@ func TestPublicRegisterCompiler(t *testing.T) {
 func TestPublicNewEngineStats(t *testing.T) {
 	eng := NewEngine(EngineOptions{CacheSize: 4})
 	pool := CompilePool{Engine: eng, Workers: 2}
-	jobs := batchJobs(t)
-	for _, r := range pool.Run(context.Background(), jobs) {
+	reqs := batchRequests(t)
+	for _, r := range pool.RunRequests(context.Background(), reqs) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
 	}
 	st := eng.Stats()
-	if st.Compiled != uint64(len(jobs)) {
-		t.Errorf("compiled = %d, want %d", st.Compiled, len(jobs))
+	if st.Compiled != uint64(len(reqs)) {
+		t.Errorf("compiled = %d, want %d", st.Compiled, len(reqs))
 	}
 	if st.Cache.Entries > 4 {
 		t.Errorf("cache holds %d entries, bound is 4", st.Cache.Entries)

@@ -77,7 +77,7 @@ func main() {
 	// And it can join a portfolio race against the built-in entrants.
 	variants := append(ssync.DefaultPortfolio(),
 		ssync.PortfolioVariant{Name: "custom/sta-wide", Compiler: "sta-wide"})
-	out, err := ssync.CompilePortfolio(ctx, c, topo, variants)
+	out, err := eng.Race(ctx, c, topo, variants, ssync.PortfolioOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

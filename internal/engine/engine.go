@@ -27,26 +27,9 @@ import (
 	"ssync/internal/obs"
 	"ssync/internal/pass"
 	"ssync/internal/qasm"
-	"ssync/internal/sim"
 	"ssync/internal/sched"
+	"ssync/internal/sim"
 	"ssync/internal/store"
-)
-
-// Compiler names one of the built-in compilers.
-//
-// Deprecated: the compiler set is no longer a closed enum — compilers
-// are addressed by their registry name (a plain string; see Register).
-// The type and its constants remain as aliases for the built-in names.
-type Compiler string
-
-const (
-	// Murali is the Murali et al. (ISCA 2020) baseline.
-	Murali Compiler = CompilerMurali
-	// Dai is the Dai et al. (IEEE TQE 2024) baseline.
-	Dai Compiler = CompilerDai
-	// SSync is this repository's S-SYNC compiler. The zero Compiler value
-	// also selects it.
-	SSync Compiler = CompilerSSync
 )
 
 // Request is one compilation request: a circuit, a device, a registered
@@ -154,63 +137,10 @@ type Response struct {
 	Trace []obs.Span
 }
 
-// Job is one compilation request in the PR-1 shape.
-//
-// Deprecated: use Request, which addresses compilers by registry name
-// and carries the annealer configuration. Job remains as a thin
-// conversion layer so existing callers keep working.
-type Job struct {
-	// Label is an optional caller tag carried through to the result.
-	Label string
-	// Circuit is the program to schedule. The engine never mutates it.
-	Circuit *circuit.Circuit
-	// Topo is the target device.
-	Topo *device.Topology
-	// Compiler selects murali, dai or ssync ("" means ssync).
-	Compiler Compiler
-	// Config tunes the S-SYNC scheduler; nil means core.DefaultConfig().
-	// Ignored by the baselines, which take no configuration.
-	Config *core.Config
-	// Timeout bounds this job's compile time; 0 falls back to the pool's
-	// default (or no limit when compiled directly).
-	Timeout time.Duration
-}
-
-// Request converts the legacy job to the request form.
-func (j Job) Request() Request {
-	return Request{
-		Label:    j.Label,
-		Circuit:  j.Circuit,
-		Topo:     j.Topo,
-		Compiler: string(j.Compiler),
-		Config:   j.Config,
-		Timeout:  j.Timeout,
-	}
-}
-
-// JobResult pairs a Job with its outcome. Exactly one of Res and Err is
-// set. Res may be shared with the cache and other callers: treat it as
-// read-only.
-//
-// Deprecated: use Response (returned by Engine.Do and Pool.RunRequests),
-// which additionally reports single-flight coalescing.
-type JobResult struct {
-	Label    string
-	Key      Key
-	Res      *core.Result
-	Err      error
-	CacheHit bool
-}
-
-// jobResult shapes a Response into the legacy result form.
-func jobResult(r Response) JobResult {
-	return JobResult{Label: r.Label, Key: r.Key, Res: r.Result, Err: r.Err, CacheHit: r.CacheHit}
-}
-
 // Stats is a point-in-time snapshot of engine counters — the single
-// consistent view services read (ssyncd renders /v1 and /v2 stats from
-// one Stats call, and each tiered store snapshots its counters under
-// one lock, so no reader can observe torn per-tier values).
+// consistent view services read (ssyncd renders every /v2/stats section
+// from one Stats call, and each tiered store snapshots its counters
+// under one lock, so no reader can observe torn per-tier values).
 type Stats struct {
 	// Compiled counts compilations actually executed (cache misses that
 	// ran to completion, successfully or not). A pipeline resumed from a
@@ -649,13 +579,6 @@ func (e *Engine) Do(ctx context.Context, req Request) Response {
 	return out
 }
 
-// Compile runs one legacy-shaped job through Do.
-//
-// Deprecated: use Do with a Request.
-func (e *Engine) Compile(ctx context.Context, j Job) JobResult {
-	return jobResult(e.Do(ctx, j.Request()))
-}
-
 // compile acquires a worker slot through the admission scheduler (when
 // the engine is bounded) and runs the resolved plan under ctx, which Do
 // has already scoped to the request timeout and deadline. The slot is
@@ -837,11 +760,4 @@ func Direct(req Request) (*core.Result, error) {
 		return nil, err
 	}
 	return x.run(context.Background(), req)
-}
-
-// CompileDirect is Direct over the legacy job shape.
-//
-// Deprecated: use Direct with a Request.
-func CompileDirect(j Job) (*core.Result, error) {
-	return Direct(j.Request())
 }

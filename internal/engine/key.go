@@ -176,11 +176,6 @@ func prefixKeys(req Request, x exec, qasmText string) []store.Key {
 	return keys
 }
 
-// JobKey computes the content address of a legacy-shaped job.
-//
-// Deprecated: use RequestKey.
-func JobKey(j Job) (Key, error) { return RequestKey(j.Request()) }
-
 // opaqueAnnealSignature renders the resolved annealer configuration —
 // seed included — for opaque-compiler requests that set Anneal explicitly
 // (a custom compiler may read it). Everything else hashes a fixed token,

@@ -17,7 +17,7 @@ import (
 // compiler plus optional configuration.
 type Variant struct {
 	Name     string
-	Compiler Compiler
+	Compiler string
 	Config   *core.Config
 	// Anneal tunes the "ssync-annealed" compiler; nil means
 	// mapping.DefaultAnnealConfig() (deterministic seed).
@@ -30,7 +30,7 @@ func (v Variant) request(c *circuit.Circuit, topo *device.Topology) Request {
 		Label:    v.Name,
 		Circuit:  c,
 		Topo:     topo,
-		Compiler: string(v.Compiler),
+		Compiler: v.Compiler,
 		Config:   v.Config,
 		Anneal:   v.Anneal,
 	}
@@ -50,10 +50,10 @@ func DefaultPortfolio() []Variant {
 	commuting.CommutationAware = true
 	annealed := mapping.DefaultAnnealConfig()
 	return []Variant{
-		{Name: "ssync/gathering", Compiler: SSync, Config: withStrategy(mapping.Gathering)},
-		{Name: "ssync/even-divided", Compiler: SSync, Config: withStrategy(mapping.EvenDivided)},
-		{Name: "ssync/sta", Compiler: SSync, Config: withStrategy(mapping.STA)},
-		{Name: "ssync/commutation", Compiler: SSync, Config: &commuting},
+		{Name: "ssync/gathering", Compiler: CompilerSSync, Config: withStrategy(mapping.Gathering)},
+		{Name: "ssync/even-divided", Compiler: CompilerSSync, Config: withStrategy(mapping.EvenDivided)},
+		{Name: "ssync/sta", Compiler: CompilerSSync, Config: withStrategy(mapping.STA)},
+		{Name: "ssync/commutation", Compiler: CompilerSSync, Config: &commuting},
 		{Name: "ssync/annealed", Compiler: CompilerSSyncAnnealed, Anneal: &annealed},
 	}
 }

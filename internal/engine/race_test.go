@@ -67,9 +67,9 @@ func TestRaceCustomVariantsAndCacheReuse(t *testing.T) {
 	}
 	eng := New(Options{})
 	variants := []Variant{
-		{Name: "murali", Compiler: Murali},
-		{Name: "dai", Compiler: Dai},
-		{Name: "ssync", Compiler: SSync},
+		{Name: "murali", Compiler: CompilerMurali},
+		{Name: "dai", Compiler: CompilerDai},
+		{Name: "ssync", Compiler: CompilerSSync},
 	}
 	if _, err := eng.Race(context.Background(), c, topo, variants, RaceOptions{}); err != nil {
 		t.Fatal(err)

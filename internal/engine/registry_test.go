@@ -230,25 +230,10 @@ func TestRequestKeyCoversAnnealSeed(t *testing.T) {
 	}
 }
 
-func TestJobKeyMatchesRequestKey(t *testing.T) {
-	j := testJob(t, "QFT_12", "G-2x2", 8, SSync)
-	jk, err := JobKey(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rk, err := RequestKey(j.Request())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jk != rk {
-		t.Errorf("legacy JobKey %s differs from RequestKey %s", jk, rk)
-	}
-}
-
 func TestDefaultPortfolioIncludesAnnealedEntrant(t *testing.T) {
 	found := false
 	for _, v := range DefaultPortfolio() {
-		if string(v.Compiler) != CompilerSSyncAnnealed {
+		if v.Compiler != CompilerSSyncAnnealed {
 			continue
 		}
 		found = true

@@ -23,24 +23,21 @@ import (
 	"ssync/internal/workloads"
 )
 
-// CompilerName identifies one of the three evaluated compilers; it is
-// the engine's compiler identifier, so the experiment grid and the
-// batch/service layers share one dispatch.
-type CompilerName = engine.Compiler
-
+// The three evaluated compilers, by engine registry name, so the
+// experiment grid and the batch/service layers share one dispatch.
 const (
-	Murali = engine.Murali
-	Dai    = engine.Dai
-	SSync  = engine.SSync
+	Murali = engine.CompilerMurali
+	Dai    = engine.CompilerDai
+	SSync  = engine.CompilerSSync
 )
 
 // Compilers lists the evaluation order used in the figures.
-var Compilers = []CompilerName{Murali, Dai, SSync}
+var Compilers = []string{Murali, Dai, SSync}
 
 // CompileWith dispatches to the named compiler with default configuration
 // through the engine's registry.
-func CompileWith(name CompilerName, c *circuit.Circuit, topo *device.Topology) (*core.Result, error) {
-	return engine.Direct(engine.Request{Circuit: c, Topo: topo, Compiler: string(name)})
+func CompileWith(name string, c *circuit.Circuit, topo *device.Topology) (*core.Result, error) {
+	return engine.Direct(engine.Request{Circuit: c, Topo: topo, Compiler: name})
 }
 
 // Options scales the experiments: Quick shrinks workloads and sweeps to
@@ -54,7 +51,7 @@ type Options struct {
 type Cell struct {
 	App      string
 	Topo     string
-	Compiler CompilerName
+	Compiler string
 
 	Shuttles    int
 	Swaps       int
@@ -66,7 +63,7 @@ type Cell struct {
 
 // runCell compiles app on topo with the given compiler and simulates with
 // FM gates (the Figs. 8–10 setting).
-func runCell(name CompilerName, app string, c *circuit.Circuit, topo *device.Topology) (Cell, error) {
+func runCell(name string, app string, c *circuit.Circuit, topo *device.Topology) (Cell, error) {
 	res, err := CompileWith(name, c, topo)
 	if err != nil {
 		return Cell{}, fmt.Errorf("exp: %s on %s with %s: %w", app, topo.Name, name, err)
@@ -77,7 +74,7 @@ func runCell(name CompilerName, app string, c *circuit.Circuit, topo *device.Top
 // cellFromResult scores one compiled grid entry — the single place a
 // Cell is built, shared by the serial and pooled paths so they cannot
 // diverge.
-func cellFromResult(name CompilerName, app string, topo *device.Topology, res *core.Result) Cell {
+func cellFromResult(name string, app string, topo *device.Topology, res *core.Result) Cell {
 	m := sim.Run(res.Schedule, topo, sim.DefaultOptions())
 	return Cell{
 		App: app, Topo: topo.Name, Compiler: name,
@@ -163,7 +160,7 @@ func comparisonRequests(opt Options) ([]engine.Request, error) {
 					Label:    app,
 					Circuit:  c,
 					Topo:     topo,
-					Compiler: string(comp),
+					Compiler: comp,
 				})
 			}
 		}
@@ -192,7 +189,7 @@ func comparison(opt Options) ([]Cell, error) {
 		if r.Err != nil {
 			return nil, fmt.Errorf("exp: %s on %s with %s: %w", req.Label, req.Topo.Name, req.Compiler, r.Err)
 		}
-		cells = append(cells, cellFromResult(CompilerName(r.Compiler), req.Label, req.Topo, r.Result))
+		cells = append(cells, cellFromResult(r.Compiler, req.Label, req.Topo, r.Result))
 	}
 	return cells, nil
 }
@@ -206,7 +203,7 @@ func comparisonSerial(opt Options) ([]Cell, error) {
 	}
 	var cells []Cell
 	for _, req := range reqs {
-		cell, err := runCell(CompilerName(req.Compiler), req.Label, req.Circuit, req.Topo)
+		cell, err := runCell(req.Compiler, req.Label, req.Circuit, req.Topo)
 		if err != nil {
 			return nil, err
 		}

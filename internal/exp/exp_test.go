@@ -62,7 +62,7 @@ func TestSSyncReducesShuttlesOnAverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := map[CompilerName]int{}
+	sum := map[string]int{}
 	for _, c := range cells {
 		sum[c.Compiler] += c.Shuttles
 	}
@@ -150,7 +150,7 @@ func TestFig15MeasuresBothCompilers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[CompilerName]bool{}
+	seen := map[string]bool{}
 	for _, r := range rows {
 		seen[r.Compiler] = true
 		if r.Compile < 0 {

@@ -16,12 +16,12 @@ import (
 // per (app, topo) with the three compilers' values of the chosen metric.
 func FormatComparison(cells []Cell, metric string) string {
 	type key struct{ app, topo string }
-	rows := map[key]map[CompilerName]Cell{}
+	rows := map[key]map[string]Cell{}
 	var order []key
 	for _, c := range cells {
 		k := key{c.App, c.Topo}
 		if rows[k] == nil {
-			rows[k] = map[CompilerName]Cell{}
+			rows[k] = map[string]Cell{}
 			order = append(order, k)
 		}
 		rows[k][c.Compiler] = c

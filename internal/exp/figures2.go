@@ -139,7 +139,7 @@ func Fig14(opt Options) (string, []Fig14Row, error) {
 type Fig15Row struct {
 	App      string
 	Size     int
-	Compiler CompilerName
+	Compiler string
 	Compile  time.Duration
 }
 

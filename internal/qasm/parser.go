@@ -80,8 +80,18 @@ func Parse(src string) (*circuit.Circuit, error) {
 	return p.circ, nil
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) cur() token { return p.toks[p.pos] }
+
+// next consumes and returns the current token. The trailing EOF token is
+// never consumed, so a program that ends early reads as EOF from then on
+// rather than indexing past the token slice.
+func (p *parser) next() token {
+	t := p.toks[p.pos]
+	if t.kind != tokEOF {
+		p.pos++
+	}
+	return t
+}
 
 // errorfAt positions a parse error at a specific token's line and column.
 func (p *parser) errorfAt(t token, format string, args ...interface{}) error {

@@ -172,27 +172,13 @@ const (
 // DefaultCompileConfig returns the paper's benchmark configuration.
 func DefaultCompileConfig() CompileConfig { return core.DefaultConfig() }
 
-// Compile schedules a circuit onto a QCCD device with S-SYNC.
-//
-// Deprecated: use Do (or Engine.Do) with a CompileRequest, which adds
+// Compile schedules a circuit onto a QCCD device with S-SYNC, directly
+// and uncached. Requests should go through Do (or Engine.Do), which adds
 // content-addressed caching, single-flight coalescing and registry
-// dispatch. Compile remains as a direct, uncached wrapper.
+// dispatch; Compile and CompileWithPlacement are the uncached entry
+// points a CompilerFunc body builds on.
 func Compile(cfg CompileConfig, c *Circuit, topo *Topology) (*CompileResult, error) {
 	return core.Compile(cfg, c, topo)
-}
-
-// CompileMurali schedules with the Murali et al. (ISCA 2020) baseline.
-//
-// Deprecated: use Do with CompileRequest{Compiler: "murali"}.
-func CompileMurali(c *Circuit, topo *Topology) (*CompileResult, error) {
-	return engine.Direct(engine.Request{Circuit: c, Topo: topo, Compiler: engine.CompilerMurali})
-}
-
-// CompileDai schedules with the Dai et al. (IEEE TQE 2024) baseline.
-//
-// Deprecated: use Do with CompileRequest{Compiler: "dai"}.
-func CompileDai(c *Circuit, topo *Topology) (*CompileResult, error) {
-	return engine.Direct(engine.Request{Circuit: c, Topo: topo, Compiler: engine.CompilerDai})
 }
 
 // InitialMapping computes an initial placement without compiling.
@@ -435,16 +421,6 @@ func BuiltinPipeline(name string) ([]PassSpec, bool) {
 	return pass.BuiltinPipeline(name)
 }
 
-// CompileJob is one batch-compilation request.
-//
-// Deprecated: use CompileRequest.
-type CompileJob = engine.Job
-
-// CompileJobResult pairs a CompileJob with its outcome.
-//
-// Deprecated: use CompileResponse.
-type CompileJobResult = engine.JobResult
-
 // CompilePool fans batches of requests across a fixed worker set.
 type CompilePool = engine.Pool
 
@@ -454,20 +430,10 @@ type PortfolioVariant = engine.Variant
 // PortfolioOutcome reports a finished portfolio race.
 type PortfolioOutcome = engine.RaceOutcome
 
-// CompilerID selects a compiler for engine jobs.
-//
-// Deprecated: compilers are addressed by registry name (a plain string)
-// in CompileRequest.Compiler.
-type CompilerID = engine.Compiler
-
-// Engine compiler identifiers.
-//
-// Deprecated: use the *CompilerName string constants with CompileRequest.
-const (
-	MuraliCompiler = engine.Murali
-	DaiCompiler    = engine.Dai
-	SSyncCompiler  = engine.SSync
-)
+// PortfolioOptions tunes a portfolio race (Engine.Race): worker bound,
+// per-entrant timeout, scheduling class and deadline. The zero value
+// races on GOMAXPROCS workers in the batch class, unbounded.
+type PortfolioOptions = engine.RaceOptions
 
 // NewEngine returns a concurrent compilation engine with a tiered
 // content-addressed result cache (in-memory LRU, optionally over a
@@ -501,7 +467,7 @@ type DiskTierStats = store.DiskStats
 // when EngineOptions.StageCacheSize is set.
 type PassSnapshot = pass.Snapshot
 
-// defaultEngine backs the package-level batch/portfolio helpers so
+// defaultEngine backs the package-level Do and CompileRequests so
 // repeated calls share one result cache.
 var (
 	defaultEngineOnce sync.Once
@@ -509,22 +475,11 @@ var (
 )
 
 // DefaultEngine returns the lazily-created process-wide engine used by
-// CompileBatch and CompilePortfolio.
+// Do and CompileRequests. Race a portfolio on it with
+// DefaultEngine().Race.
 func DefaultEngine() *Engine {
 	defaultEngineOnce.Do(func() { defaultEngine = engine.New(engine.Options{}) })
 	return defaultEngine
-}
-
-// CompileBatch fans jobs across GOMAXPROCS workers of the process-wide
-// engine, returning results index-aligned with the input. Repeated
-// identical jobs are served from the shared result cache.
-//
-// Deprecated: build CompileRequests and run them through
-// CompilePool.RunRequests (or call Do per request); this wrapper
-// converts and stays for compatibility.
-func CompileBatch(ctx context.Context, jobs []CompileJob) []CompileJobResult {
-	pool := engine.Pool{Engine: DefaultEngine()}
-	return pool.Run(ctx, jobs)
 }
 
 // CompileRequests fans requests across GOMAXPROCS workers of the
@@ -534,17 +489,6 @@ func CompileBatch(ctx context.Context, jobs []CompileJob) []CompileJobResult {
 func CompileRequests(ctx context.Context, reqs []CompileRequest) []CompileResponse {
 	pool := engine.Pool{Engine: DefaultEngine()}
 	return pool.RunRequests(ctx, reqs)
-}
-
-// CompilePortfolio races several strategies for one circuit concurrently
-// on the process-wide engine and returns the outcome with the best
-// schedule (highest success rate, then fewest shuttles). A nil variants
-// slice races engine.DefaultPortfolio().
-//
-// Deprecated: call Engine.Race on an engine you control (DefaultEngine()
-// works); this wrapper stays for compatibility.
-func CompilePortfolio(ctx context.Context, c *Circuit, topo *Topology, variants []PortfolioVariant) (*PortfolioOutcome, error) {
-	return DefaultEngine().Race(ctx, c, topo, variants, engine.RaceOptions{})
 }
 
 // DefaultPortfolio returns the standard portfolio entrants: S-SYNC under
@@ -599,14 +543,13 @@ func AnnealedMapping(cfg MappingConfig, ann AnnealConfig, c *Circuit, topo *Topo
 	return mapping.InitialAnnealed(cfg, ann, c, topo)
 }
 
-// CompileWithPlacement runs the S-SYNC scheduler from a caller-supplied
-// initial placement (e.g. one produced by AnnealedMapping). The circuit
-// must already be in the native basis; the placement is consumed.
-//
-// Deprecated: for annealed placements use Do with
-// CompileRequest{Compiler: "ssync-annealed"}, which is cacheable under
-// its deterministic seed; register a CompilerFunc for other custom
-// placement pipelines. This wrapper stays for compatibility.
+// CompileWithPlacement runs the S-SYNC scheduler, directly and uncached,
+// from a caller-supplied initial placement (e.g. one produced by
+// AnnealedMapping). The circuit must already be in the native basis; the
+// placement is consumed. It is the only entry point that takes a
+// placement: a CompilerFunc wrapping it makes a custom placement
+// pipeline addressable (and cached) through Do. For annealed placements,
+// Do with CompileRequest{Compiler: "ssync-annealed"} already does this.
 func CompileWithPlacement(cfg CompileConfig, c *Circuit, topo *Topology, p *Placement) (*CompileResult, error) {
 	return core.CompileWithPlacement(cfg, c, topo, p)
 }

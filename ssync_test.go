@@ -1,6 +1,7 @@
 package ssync
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -83,15 +84,12 @@ func TestPublicDevices(t *testing.T) {
 func TestPublicBaselines(t *testing.T) {
 	c := QFT(8)
 	topo := LinearDevice(2, 6)
-	for name, compile := range map[string]func(*Circuit, *Topology) (*CompileResult, error){
-		"murali": CompileMurali,
-		"dai":    CompileDai,
-	} {
-		res, err := compile(c, topo)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, name := range []string{MuraliCompilerName, DaiCompilerName} {
+		resp := Do(context.Background(), CompileRequest{Circuit: c, Topo: topo, Compiler: name})
+		if resp.Err != nil {
+			t.Fatalf("%s: %v", name, resp.Err)
 		}
-		if res.Counts.TwoQubit != c.TwoQubitCount() {
+		if res := resp.Result; res.Counts.TwoQubit != c.TwoQubitCount() {
 			t.Errorf("%s executed %d/%d gates", name, res.Counts.TwoQubit, c.TwoQubitCount())
 		}
 	}
