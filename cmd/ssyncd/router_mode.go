@@ -33,8 +33,8 @@ func (o traceOptions) recorder() *obs.Recorder {
 
 // runRouter is -mode=router: the process becomes a consistent-hash
 // reverse proxy over the -replicas fleet instead of a compiler. Requests
-// are keyed router-side with the same v4 content address the replicas
-// cache under (routerRequestKey), so identical circuits land on one
+// are keyed router-side with the same content address the replicas
+// cache under (routerRequestKey, via engine.RequestKey), so identical circuits land on one
 // replica and keep single-flight coalescing; replica health and queue
 // pressure come from polling each replica's /v2/stats, and traffic
 // spills to the second shard on the ring when its home is down or

@@ -9,7 +9,8 @@ import (
 )
 
 // routerRequestKey is the cluster router's KeyFunc: it computes the same
-// v4 content address the replicas cache under, from the wire request
+// content address the replicas cache under (engine.RequestKey, over the
+// circuit's digest), from the wire request
 // alone, so placement agrees with the replica-side cache and identical
 // circuits land on the shard that already holds (or is already
 // compiling) their result. Anything it cannot key — batches, GETs,

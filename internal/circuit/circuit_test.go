@@ -26,6 +26,7 @@ func TestGateValidate(t *testing.T) {
 		{New("u3", []int{0}, 1, 2), 1, false, "u3 missing param"},
 		{New("bogus", []int{0}), 1, false, "unknown gate"},
 		{New("ccx", []int{0, 1, 2}), 3, true, "ccx ok"},
+		{New("ccx", []int{0, 1, 0}), 3, false, "ccx repeated first and last qubit"},
 		{New("barrier", []int{0, 1, 2}), 3, true, "barrier ok"},
 		{New("barrier", []int{5}), 3, false, "barrier out of range"},
 	}
@@ -37,6 +38,14 @@ func TestGateValidate(t *testing.T) {
 		if !tc.ok && err == nil {
 			t.Errorf("%s: expected error, got nil", tc.name)
 		}
+	}
+}
+
+// Appending a valid gate must not allocate beyond the gate slice itself.
+func TestGateValidateAllocatesNothing(t *testing.T) {
+	g := New("ccx", []int{0, 1, 2})
+	if n := testing.AllocsPerRun(100, func() { _ = g.Validate(3) }); n != 0 {
+		t.Errorf("Validate allocates %v objects per call, want 0", n)
 	}
 }
 

@@ -125,15 +125,17 @@ func (g Gate) Validate(numQubits int) error {
 	if np := paramCount[g.Name]; len(g.Params) != np {
 		return fmt.Errorf("circuit: gate %q wants %d params, got %d", g.Name, np, len(g.Params))
 	}
-	seen := map[int]bool{}
-	for _, q := range g.Qubits {
+	// Non-barrier gates touch at most three qubits, so a pairwise scan
+	// finds repeats without allocating.
+	for i, q := range g.Qubits {
 		if q < 0 || q >= numQubits {
 			return fmt.Errorf("circuit: gate %q qubit %d out of range [0,%d)", g.Name, q, numQubits)
 		}
-		if seen[q] {
-			return fmt.Errorf("circuit: gate %q repeats qubit %d", g.Name, q)
+		for _, prev := range g.Qubits[:i] {
+			if prev == q {
+				return fmt.Errorf("circuit: gate %q repeats qubit %d", g.Name, q)
+			}
 		}
-		seen[q] = true
 	}
 	return nil
 }

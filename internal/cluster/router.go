@@ -17,7 +17,7 @@ import (
 	"ssync/internal/obs"
 )
 
-// Key is a request's affinity key: the engine's v4 content address when
+// Key is a request's affinity key: the engine's content address when
 // the wire body parses (so the router hashes exactly what the replicas
 // cache), the body hash otherwise.
 type Key = [sha256.Size]byte
@@ -36,7 +36,7 @@ type Options struct {
 	Replicas []string
 	// KeyFn computes request affinity keys; nil uses the body hash for
 	// everything (affinity still works, but requests that differ only in
-	// JSON formatting stop coalescing). cmd/ssyncd wires the engine's v4
+	// JSON formatting stop coalescing). cmd/ssyncd wires the engine's
 	// key computation here.
 	KeyFn KeyFunc
 	// Logger receives router event logs; nil discards.

@@ -2,8 +2,8 @@
 // S-SYNC compiler stack: a request-oriented compilation API (Request →
 // Response via Engine.Do) dispatching through a pluggable compiler
 // registry (Register), a worker-pool batch compiler (Pool), a
-// content-addressed LRU result cache keyed by the canonical form of each
-// request (Key, Cache), single-flight coalescing of identical in-flight
+// content-addressed LRU result cache keyed by a digest of each request
+// (Key, Cache), single-flight coalescing of identical in-flight
 // requests, and portfolio racing (Race) that runs several strategies for
 // one circuit concurrently and keeps the best schedule. It exists so
 // that services handling many compilation requests — the experiment
@@ -13,6 +13,7 @@ package engine
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"strconv"
 	"sync"
@@ -26,7 +27,6 @@ import (
 	"ssync/internal/mapping"
 	"ssync/internal/obs"
 	"ssync/internal/pass"
-	"ssync/internal/qasm"
 	"ssync/internal/sched"
 	"ssync/internal/sim"
 	"ssync/internal/store"
@@ -492,11 +492,12 @@ func (e *Engine) Do(ctx context.Context, req Request) Response {
 	// degrade to no-ops on a bare context.
 	tr := obs.TraceFrom(ctx)
 	log := obs.Logger(ctx)
-	// Content addressing costs a full canonical render + hash per
-	// request, so it is skipped entirely on cacheless engines; Key stays
-	// zero there and coalescing (which is keyed) is skipped with it.
+	// Content addressing costs a full circuit digest per request, so it
+	// is skipped entirely on cacheless engines; Key stays zero there and
+	// coalescing (which is keyed) is skipped with it. Cacheless engines
+	// have no stage cache either, so compile never reads the zero digest.
 	if e.results == nil {
-		out.Result, out.Err = e.compile(ctx, x, req, "")
+		out.Result, out.Err = e.compile(ctx, x, req, [sha256.Size]byte{})
 		if out.Err != nil {
 			e.errors.Add(1)
 		} else {
@@ -505,15 +506,10 @@ func (e *Engine) Do(ctx context.Context, req Request) Response {
 		out.Trace = tr.Spans()
 		return out
 	}
-	// The canonical QASM render is the expensive shared ingredient of the
-	// request key and every stage-prefix key; render it exactly once.
-	qasmText := qasm.Write(req.Circuit)
-	key, err := execKey(req, x, qasmText)
-	if err != nil {
-		out.Err = err
-		e.errors.Add(1)
-		return out
-	}
+	// The circuit digest is the one circuit-sized ingredient of the
+	// request key and every stage-prefix key; compute it exactly once.
+	digest := req.Circuit.Digest()
+	key := execKey(req, x, digest)
 	out.Key = key
 	probeStart := time.Now()
 	probeCtx := ctx
@@ -555,7 +551,7 @@ func (e *Engine) Do(ctx context.Context, req Request) Response {
 	// flight or hits the cache.
 	flightStart := time.Now()
 	out.Result, out.Err, out.Coalesced = e.flights.do(ctx, key, func() (*core.Result, error) {
-		res, err := e.compile(ctx, x, req, qasmText)
+		res, err := e.compile(ctx, x, req, digest)
 		if err == nil {
 			e.results.Put(store.Key(key), res, encodeResult)
 		}
@@ -590,7 +586,8 @@ func (e *Engine) Do(ctx context.Context, req Request) Response {
 // publishing snapshots at newly executed boundaries. Registered
 // compilers and passes are cooperatively cancellable, so this runs on
 // the calling goroutine and holds it until compilation really stops.
-func (e *Engine) compile(ctx context.Context, x exec, req Request, qasmText string) (*core.Result, error) {
+// digest is req.Circuit's circuit.Digest, the stage cache's key material.
+func (e *Engine) compile(ctx context.Context, x exec, req Request, digest [sha256.Size]byte) (*core.Result, error) {
 	tr := obs.TraceFrom(ctx)
 	if tr != nil {
 		// The compile span encloses admission, stage-cache probes and
@@ -634,7 +631,7 @@ func (e *Engine) compile(ctx context.Context, x exec, req Request, qasmText stri
 	var executed []core.PassTiming
 	var err error
 	if e.stages != nil && len(x.passes) >= 2 {
-		res, executed, err = e.runStaged(ctx, x, req, qasmText)
+		res, executed, err = e.runStaged(ctx, x, req, digest)
 	} else {
 		res, err = x.run(ctx, req)
 		if res != nil {
@@ -657,7 +654,7 @@ func (e *Engine) compile(ctx context.Context, x exec, req Request, qasmText stri
 // the result plus the timings of the stages this call actually executed
 // (the result's own PassTimings itemise the full pipeline, restored
 // stages included).
-func (e *Engine) runStaged(ctx context.Context, x exec, req Request, qasmText string) (*core.Result, []core.PassTiming, error) {
+func (e *Engine) runStaged(ctx context.Context, x exec, req Request, digest [sha256.Size]byte) (*core.Result, []core.PassTiming, error) {
 	// A request cancelled while queueing for its slot must not pay for
 	// the prefix scan below (disk-tier reads, snapshot decode/restore)
 	// either — the between-stage checks in pass.RunFrom only cover what
@@ -665,7 +662,7 @@ func (e *Engine) runStaged(ctx context.Context, x exec, req Request, qasmText st
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	chain := prefixKeys(req, x, qasmText)
+	chain := prefixKeys(req, x, digest)
 	start := 0
 	var st *pass.State
 	tr := obs.TraceFrom(ctx)

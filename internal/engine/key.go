@@ -8,17 +8,16 @@ import (
 	"io"
 
 	"ssync/internal/pass"
-	"ssync/internal/qasm"
 	"ssync/internal/store"
 )
 
 // Key content-addresses one compilation request. Two requests share a key
-// exactly when their canonical OpenQASM, device layout, and execution
-// plan — the full resolved pass pipeline with per-pass options, or the
-// opaque compiler name with its configuration — coincide, so a key hit is
-// a proof the cached schedule answers the new request. Built-in compiler
-// names key as their canned pipelines, so Request.Compiler "ssync" and
-// the equivalent explicit Request.Pipeline share one key.
+// exactly when their circuit digest (circuit.Digest), device layout, and
+// execution plan — the full resolved pass pipeline with per-pass options,
+// or the opaque compiler name with its configuration — coincide, so a key
+// hit is a proof the cached schedule answers the new request. Built-in
+// compiler names key as their canned pipelines, so Request.Compiler
+// "ssync" and the equivalent explicit Request.Pipeline share one key.
 type Key [sha256.Size]byte
 
 // String renders the key as lowercase hex.
@@ -26,12 +25,11 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // keyVersion tags the hash layout; bump it whenever the serialisation
 // below changes so stale external key material can never alias.
-// v4: the resolved configurations hash at the granularity the pipeline
-// declares (pass.ConfigUse) — full scheduler config, mapping sub-config
-// only, or none — instead of the v3 full-or-none rule, and the same
-// serialisation now also produces the per-stage prefix chain
-// (prefixKeys) behind the engine's stage cache.
-const keyVersion = "ssync-req-v4"
+// v5: the circuit enters as its binary digest (circuit.Digest) instead
+// of its canonical OpenQASM text; v4 introduced the per-granularity
+// configuration hashing (pass.ConfigUse) and the stage-prefix chain
+// (prefixKeys) that share this serialisation.
+const keyVersion = "ssync-req-v5"
 
 // stageKeyVersion tags the prefix-key layout. Prefix keys live in their
 // own hash domain: a stage key can never alias a request key, so stage
@@ -40,12 +38,12 @@ const keyVersion = "ssync-req-v4"
 const stageKeyVersion = "ssync-stage-v1"
 
 // RequestKey computes the content address of a request. The circuit
-// enters via its canonical OpenQASM 2.0 rendering (qasm.Write), which is
-// stable across gate-order-preserving re-parses; the topology enters via
-// its name plus full trap/segment layout; the execution plan enters via
-// the resolved pipeline — every pass name and canonical options
-// signature, stage by stage — or, for opaque registered compilers, the
-// registry name. The S-SYNC/annealer configurations enter via their
+// enters via its digest (circuit.Digest), which coincides exactly when
+// the OpenQASM renderings do and so is stable across write/parse round
+// trips; the topology enters via its name plus full trap/segment layout;
+// the execution plan enters via the resolved pipeline — every pass name
+// and canonical options signature, stage by stage — or, for opaque
+// registered compilers, the registry name. The S-SYNC/annealer configurations enter via their
 // Go-syntax renderings (deterministic field order), at the granularity
 // the pipeline's passes declare they read them (pass.ConfigUse).
 func RequestKey(req Request) (Key, error) {
@@ -53,22 +51,20 @@ func RequestKey(req Request) (Key, error) {
 	if err != nil {
 		return Key{}, err
 	}
-	return execKey(req, x, "")
+	if req.Circuit == nil || req.Topo == nil {
+		return Key{}, fmt.Errorf("engine: cannot key a request without circuit and topology")
+	}
+	return execKey(req, x, req.Circuit.Digest()), nil
 }
 
 // hashRequestBase writes the request's circuit and topology — the part
 // of the content address every key form (request and stage prefix)
-// shares — into h. qasmText is the circuit's canonical rendering when
-// the caller already has it ("" renders here): one request needs the
-// base for its request key plus every stage-prefix key, and qasm.Write
-// is by far the most expensive ingredient, so callers render once and
-// share.
-func hashRequestBase(h hash.Hash, req Request, qasmText string) {
-	if qasmText == "" {
-		qasmText = qasm.Write(req.Circuit)
-	}
-	io.WriteString(h, "\x00qasm\x00")
-	io.WriteString(h, qasmText)
+// shares — into h. digest is the circuit's circuit.Digest: one request
+// needs the base for its request key plus every stage-prefix key, so
+// callers digest the circuit once and share it.
+func hashRequestBase(h hash.Hash, req Request, digest [sha256.Size]byte) {
+	io.WriteString(h, "\x00circuit\x00")
+	h.Write(digest[:])
 	io.WriteString(h, "\x00topo\x00")
 	// Length-prefix the free-form name so a crafted name can never alias
 	// the trap/segment serialization that follows.
@@ -119,16 +115,13 @@ func hashConfigs(h hash.Hash, req Request, use pass.ConfigUse) {
 
 // execKey hashes a request against its already-resolved execution plan;
 // Engine.Do uses it to key exactly what it will run without resolving
-// twice. qasmText is the circuit's canonical rendering when already
-// available ("" renders it).
-func execKey(req Request, x exec, qasmText string) (Key, error) {
+// twice. The request must carry a circuit and a topology; digest is
+// req.Circuit's circuit.Digest.
+func execKey(req Request, x exec, digest [sha256.Size]byte) Key {
 	var k Key
-	if req.Circuit == nil || req.Topo == nil {
-		return k, fmt.Errorf("engine: cannot key a request without circuit and topology")
-	}
 	h := sha256.New()
 	io.WriteString(h, keyVersion)
-	hashRequestBase(h, req, qasmText)
+	hashRequestBase(h, req, digest)
 	if x.passes != nil {
 		hashStages(h, x.passes)
 		hashConfigs(h, req, pass.PipelineUse(x.passes))
@@ -144,7 +137,7 @@ func execKey(req Request, x exec, qasmText string) (Key, error) {
 		io.WriteString(h, opaqueAnnealSignature(req))
 	}
 	h.Sum(k[:0])
-	return k, nil
+	return k
 }
 
 // prefixKeys computes the stage-prefix key chain of a pipeline
@@ -156,19 +149,16 @@ func execKey(req Request, x exec, qasmText string) (Key, error) {
 // same key and can resume from the cached snapshot. The chain covers
 // boundaries 0..len-2; the final boundary is the finished result, which
 // execKey addresses. Nil for opaque compilers and single-stage
-// pipelines.
-func prefixKeys(req Request, x exec, qasmText string) []store.Key {
+// pipelines. digest is req.Circuit's circuit.Digest.
+func prefixKeys(req Request, x exec, digest [sha256.Size]byte) []store.Key {
 	if x.passes == nil || len(x.passes) < 2 || req.Circuit == nil || req.Topo == nil {
 		return nil
-	}
-	if qasmText == "" {
-		qasmText = qasm.Write(req.Circuit)
 	}
 	keys := make([]store.Key, len(x.passes)-1)
 	for i := range keys {
 		h := sha256.New()
 		io.WriteString(h, stageKeyVersion)
-		hashRequestBase(h, req, qasmText)
+		hashRequestBase(h, req, digest)
 		hashStages(h, x.passes[:i+1])
 		hashConfigs(h, req, pass.PipelineUse(x.passes[:i+1]))
 		h.Sum(keys[i][:0])

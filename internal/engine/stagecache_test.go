@@ -22,7 +22,7 @@ func mustPrefixKeys(t *testing.T, req Request) []store.Key {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prefixKeys(req, x, "")
+	return prefixKeys(req, x, req.Circuit.Digest())
 }
 
 // TestPrefixChainDeterminism pins the stage-key contract: the canned

@@ -57,8 +57,21 @@ func newLexer(src string) *lexer {
 	return &lexer{src: src, line: 1, col: 1}
 }
 
+// posError is a parse failure positioned at a source line and column.
+// Every error Parse returns is one.
+type posError struct {
+	line, col int
+	err       error
+}
+
+func (e *posError) Error() string {
+	return fmt.Sprintf("qasm: line %d, col %d: %v", e.line, e.col, e.err)
+}
+
+func (e *posError) Unwrap() error { return e.err }
+
 func (l *lexer) errorf(format string, args ...interface{}) error {
-	return fmt.Errorf("qasm: line %d: %s", l.line, fmt.Sprintf(format, args...))
+	return &posError{line: l.line, col: l.col, err: fmt.Errorf(format, args...)}
 }
 
 func (l *lexer) peekByte() (byte, bool) {
@@ -193,22 +206,5 @@ func (l *lexer) next() (token, error) {
 		return token{kind: tokSymbol, text: string(b), line: startLine, col: startCol}, nil
 	default:
 		return token{}, l.errorf("unexpected character %q", string(b))
-	}
-}
-
-// tokenize lexes the whole source up front; QASM programs are small enough
-// that a token slice keeps the parser simple.
-func tokenize(src string) ([]token, error) {
-	l := newLexer(src)
-	var toks []token
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.kind == tokEOF {
-			return toks, nil
-		}
 	}
 }

@@ -32,70 +32,93 @@ type reg struct {
 	offset int // base index in the flat qubit space (qreg only)
 }
 
-// Parser parses one OpenQASM 2.0 program into a circuit.
+// Parser parses one OpenQASM 2.0 program into a circuit. It reads one
+// token ahead, pulling tokens from the lexer on demand.
 type parser struct {
-	toks  []token
-	pos   int
-	qregs map[string]*reg
-	cregs map[string]*reg
-	order []*reg // qregs in declaration order
-	gates map[string]*gateDef
-	circ  *circuit.Circuit
+	lex *lexer
+	tok token // the current, not yet consumed, token
+	// lexErr is the first lexer failure. It ends the parse: the parser
+	// reads EOF from then on, and Parse reports lexErr.
+	lexErr error
+	qregs  map[string]*reg
+	cregs  map[string]*reg
+	order  []*reg // qregs in declaration order
+	gates  map[string]*gateDef
+	circ   *circuit.Circuit
 	// cond is the pending classical control while parsing the operation
 	// of an `if (creg==n) ...;` statement; appendGate stamps it onto
 	// every gate it emits.
 	cond *circuit.Condition
-	// gates the circuit IR understands natively; applications of these are
-	// emitted directly instead of macro-expanded.
-	native map[string]bool
+}
+
+// native lists the gates the circuit IR understands natively;
+// applications of these are emitted directly instead of macro-expanded.
+var native = map[string]bool{
+	"id": true, "x": true, "y": true, "z": true, "h": true,
+	"s": true, "sdg": true, "t": true, "tdg": true,
+	"sx": true, "sxdg": true,
+	"rx": true, "ry": true, "rz": true,
+	"u1": true, "u2": true, "u3": true, "u": true, "p": true,
+	"cx": true, "CX": true, "cz": true, "cy": true, "ch": true,
+	"swap": true, "crx": true, "cry": true, "crz": true,
+	"cp": true, "cu1": true, "rxx": true, "ryy": true, "rzz": true,
+	"ms": true, "ccx": true, "cswap": true,
 }
 
 // Parse parses QASM source text and returns the flattened circuit. Qubits
-// are numbered by register declaration order.
+// are numbered by register declaration order. Every error carries the
+// line and column it arose at.
 func Parse(src string) (*circuit.Circuit, error) {
-	toks, err := tokenize(src)
-	if err != nil {
-		return nil, err
-	}
 	p := &parser{
-		toks:  toks,
+		lex:   newLexer(src),
 		qregs: map[string]*reg{},
 		cregs: map[string]*reg{},
 		gates: map[string]*gateDef{},
-		native: map[string]bool{
-			"id": true, "x": true, "y": true, "z": true, "h": true,
-			"s": true, "sdg": true, "t": true, "tdg": true,
-			"sx": true, "sxdg": true,
-			"rx": true, "ry": true, "rz": true,
-			"u1": true, "u2": true, "u3": true, "u": true, "p": true,
-			"cx": true, "CX": true, "cz": true, "cy": true, "ch": true,
-			"swap": true, "crx": true, "cry": true, "crz": true,
-			"cp": true, "cu1": true, "rxx": true, "ryy": true, "rzz": true,
-			"ms": true, "ccx": true, "cswap": true,
-		},
 	}
-	if err := p.parseProgram(); err != nil {
+	p.advance()
+	err := p.parseProgram()
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	if err != nil {
 		return nil, err
 	}
 	return p.circ, nil
 }
 
-func (p *parser) cur() token { return p.toks[p.pos] }
+func (p *parser) cur() token { return p.tok }
 
-// next consumes and returns the current token. The trailing EOF token is
-// never consumed, so a program that ends early reads as EOF from then on
-// rather than indexing past the token slice.
+// advance pulls the next token from the lexer into p.tok.
+func (p *parser) advance() {
+	t, err := p.lex.next()
+	if err != nil {
+		p.lexErr = err
+		t = token{kind: tokEOF, line: p.lex.line, col: p.lex.col}
+	}
+	p.tok = t
+}
+
+// next consumes and returns the current token. EOF is never consumed, so
+// a program that ends early reads as EOF from then on.
 func (p *parser) next() token {
-	t := p.toks[p.pos]
+	t := p.tok
 	if t.kind != tokEOF {
-		p.pos++
+		p.advance()
 	}
 	return t
 }
 
 // errorfAt positions a parse error at a specific token's line and column.
 func (p *parser) errorfAt(t token, format string, args ...interface{}) error {
-	return fmt.Errorf("qasm: line %d, col %d: %s", t.line, t.col, fmt.Sprintf(format, args...))
+	return at(t, fmt.Errorf(format, args...))
+}
+
+// at positions err at t unless it is nil or already carries a position.
+func at(t token, err error) error {
+	if _, ok := err.(*posError); ok || err == nil {
+		return err
+	}
+	return &posError{line: t.line, col: t.col, err: err}
 }
 
 func (p *parser) errorf(format string, args ...interface{}) error {
@@ -142,14 +165,19 @@ func (p *parser) parseProgram() error {
 		}
 	}
 	for p.cur().kind != tokEOF {
+		// Errors raised while expanding and emitting the statement's
+		// gates carry no token of their own; position them at the
+		// statement.
+		stmt := p.cur()
 		if err := p.parseStatement(); err != nil {
-			return err
+			return at(stmt, err)
 		}
 	}
-	if p.circ == nil {
-		return fmt.Errorf("qasm: program declares no quantum registers")
+	if len(p.order) == 0 {
+		return p.errorf("program declares no quantum registers")
 	}
-	return nil
+	// A program may declare registers and apply no gates.
+	return at(p.cur(), p.ensureCircuit())
 }
 
 func (p *parser) ensureCircuit() error {
@@ -163,11 +191,11 @@ func (p *parser) ensureCircuit() error {
 		// Each register is individually capped, so checking the running
 		// total every step also makes overflow unreachable.
 		if total > maxDeclaredQubits {
-			return fmt.Errorf("qasm: program declares more than %d qubits", maxDeclaredQubits)
+			return fmt.Errorf("program declares more than %d qubits", maxDeclaredQubits)
 		}
 	}
 	if total == 0 {
-		return fmt.Errorf("qasm: no qubits declared before first instruction")
+		return fmt.Errorf("no qubits declared before first instruction")
 	}
 	p.circ = circuit.NewCircuit(total)
 	return nil
@@ -626,7 +654,7 @@ const (
 // conditioning every expanded piece is exact).
 func (p *parser) appendGate(g circuit.Gate) error {
 	if len(p.circ.Gates) >= maxParsedGates {
-		return fmt.Errorf("qasm: program exceeds the %d-gate limit", maxParsedGates)
+		return fmt.Errorf("program exceeds the %d-gate limit", maxParsedGates)
 	}
 	// Barriers are scheduling fences, not quantum operations: a condition
 	// neither strengthens nor weakens them, so they stay unconditioned
@@ -641,7 +669,7 @@ func (p *parser) appendGate(g circuit.Gate) error {
 // applyGate emits one application of `name`, expanding user definitions.
 func (p *parser) applyGate(name string, params []float64, qubits []int, depth int) error {
 	if depth > maxExpansionDepth {
-		return fmt.Errorf("qasm: gate expansion exceeds depth %d (recursive definition of %q?)", maxExpansionDepth, name)
+		return fmt.Errorf("gate expansion exceeds depth %d (recursive definition of %q?)", maxExpansionDepth, name)
 	}
 	canonical := name
 	switch name {
@@ -650,18 +678,24 @@ func (p *parser) applyGate(name string, params []float64, qubits []int, depth in
 	case "U":
 		canonical = "u3"
 	}
-	if p.native[canonical] {
+	if native[canonical] {
+		// An infinite or NaN angle has no meaning and no QASM spelling.
+		for _, v := range params {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return fmt.Errorf("gate %q parameter evaluates to %v", name, v)
+			}
+		}
 		return p.appendGate(circuit.New(canonical, qubits, params...))
 	}
 	def, ok := p.gates[name]
 	if !ok {
-		return fmt.Errorf("qasm: call of undefined gate %q", name)
+		return fmt.Errorf("call of undefined gate %q", name)
 	}
 	if len(params) != len(def.params) {
-		return fmt.Errorf("qasm: gate %q wants %d params, got %d", name, len(def.params), len(params))
+		return fmt.Errorf("gate %q wants %d params, got %d", name, len(def.params), len(params))
 	}
 	if len(qubits) != len(def.qargs) {
-		return fmt.Errorf("qasm: gate %q wants %d qubits, got %d", name, len(def.qargs), len(qubits))
+		return fmt.Errorf("gate %q wants %d qubits, got %d", name, len(def.qargs), len(qubits))
 	}
 	env := map[string]float64{}
 	for i, pn := range def.params {
@@ -718,7 +752,7 @@ func (v varExpr) eval(env map[string]float64) (float64, error) {
 			return val, nil
 		}
 	}
-	return 0, fmt.Errorf("qasm: unknown identifier %q in expression", string(v))
+	return 0, fmt.Errorf("unknown identifier %q in expression", string(v))
 }
 
 type unaryExpr struct{ x expr }
@@ -751,13 +785,13 @@ func (b binExpr) eval(env map[string]float64) (float64, error) {
 		return l * r, nil
 	case '/':
 		if r == 0 {
-			return 0, fmt.Errorf("qasm: division by zero in parameter expression")
+			return 0, fmt.Errorf("division by zero in parameter expression")
 		}
 		return l / r, nil
 	case '^':
 		return math.Pow(l, r), nil
 	}
-	return 0, fmt.Errorf("qasm: unknown operator %q", string(b.op))
+	return 0, fmt.Errorf("unknown operator %q", string(b.op))
 }
 
 type funcExpr struct {
@@ -784,7 +818,7 @@ func (f funcExpr) eval(env map[string]float64) (float64, error) {
 	case "sqrt":
 		return math.Sqrt(v), nil
 	}
-	return 0, fmt.Errorf("qasm: unknown function %q", f.name)
+	return 0, fmt.Errorf("unknown function %q", f.name)
 }
 
 // parseExpr parses an additive expression. formals, when non-nil, is the

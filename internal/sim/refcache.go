@@ -3,9 +3,7 @@ package sim
 import (
 	"container/list"
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -98,43 +96,11 @@ func (r *Reference) VerifySchedule(sched *schedule.Schedule) error {
 	return nil
 }
 
-// refKey addresses a cached reference: digest of the source circuit's
-// full gate stream plus the witness seed.
+// refKey addresses a cached reference: the source circuit's digest
+// (circuit.Digest) plus the witness seed.
 type refKey struct {
 	digest [sha256.Size]byte
 	seed   int64
-}
-
-func keyOf(src *circuit.Circuit, seed int64) refKey {
-	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(src.NumQubits))
-	h.Write(buf[:])
-	for _, g := range src.Gates {
-		// Length-prefix the name so gate boundaries can never alias.
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(g.Name)))
-		h.Write(buf[:])
-		h.Write([]byte(g.Name))
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(g.Qubits)))
-		h.Write(buf[:])
-		for _, q := range g.Qubits {
-			binary.LittleEndian.PutUint64(buf[:], uint64(q))
-			h.Write(buf[:])
-		}
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(g.Params)))
-		h.Write(buf[:])
-		for _, p := range g.Params {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p))
-			h.Write(buf[:])
-		}
-		if g.Cond != nil {
-			fmt.Fprintf(h, "if%d\x00%s==%d/%d", len(g.Cond.Creg), g.Cond.Creg, g.Cond.Value, g.Cond.Width)
-		}
-	}
-	var k refKey
-	h.Sum(k.digest[:0])
-	k.seed = seed
-	return k
 }
 
 // refEntry is one cache slot. ready closes when the reference (or the
@@ -190,7 +156,7 @@ func NewRefCache(maxBytes int64) *RefCache {
 // per cache lifetime no matter how many goroutines ask concurrently.
 // Build errors are not cached; the next Get retries.
 func (c *RefCache) Get(src *circuit.Circuit, seed int64) (*Reference, error) {
-	k := keyOf(src, seed)
+	k := refKey{src.Digest(), seed}
 	c.mu.Lock()
 	if e, ok := c.entries[k]; ok {
 		if e.elem != nil {

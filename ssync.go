@@ -264,12 +264,12 @@ type CompileRequest = engine.Request
 type CompileResponse = engine.Response
 
 // CompileKey is the content address of a CompileRequest: a sha256 over
-// the request's canonical OpenQASM rendering, device layout and resolved
-// execution plan. Two requests share a key exactly when a cached result
+// the request's circuit digest (Circuit.Digest, equal exactly when the
+// OpenQASM renderings are), device layout and resolved execution plan. Two requests share a key exactly when a cached result
 // for one answers the other.
 type CompileKey = engine.Key
 
-// RequestKey computes a request's stable content address (the "v4" key
+// RequestKey computes a request's stable content address (the key
 // the engine caches and coalesces under, and the cluster router shards
 // by). It fails only when the request itself is unresolvable — an
 // unknown compiler name or a malformed pipeline. Priority, Deadline,
